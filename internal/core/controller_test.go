@@ -613,7 +613,7 @@ func TestGIPTBasics(t *testing.T) {
 	if g.Resident(2) {
 		t.Fatal("residence bit stuck")
 	}
-	g.Entry(2).State = Cached
+	g.SetState(2, Cached)
 	if g.CachedCount() != 1 {
 		t.Fatalf("cached = %d", g.CachedCount())
 	}

@@ -60,8 +60,8 @@ func (c *Controller) FastTLBMiss(at sim.Tick, coreID int, pt *mmu.PageTable, vpn
 		ca := pte.Frame
 		e := c.gipt.Entry(ca)
 		if e.State == PendingEvict {
-			e.State = Cached
-			c.allocQ.Enqueue(ca)
+			c.gipt.SetState(ca, Cached)
+			c.enqueueAlloc(ca)
 			c.stats.Rescues++
 		}
 		c.gipt.SetResidence(ca, coreID, true)
@@ -89,16 +89,15 @@ func (c *Controller) FastTLBMiss(at sim.Tick, coreID int, pt *mmu.PageTable, vpn
 	}
 	c.gipt.Insert(ca, ppn, pte, vpn&^uint64(c.cfg.RegionPages-1))
 	c.lastTouch[ca] = at
-	c.allocQ.Enqueue(ca)
+	c.enqueueAlloc(ca)
 	if c.aliases != nil {
 		c.aliases[ppn] = ca
 		c.gipt.Entry(ca).Sharers = []*mmu.PTE{pte}
 	}
 	pte.Frame = ca
 	pte.VC = true
-	e := c.gipt.Entry(ca)
-	e.State = Cached
-	e.FillDone = at
+	c.gipt.SetState(ca, Cached)
+	c.gipt.Entry(ca).FillDone = at
 	c.gipt.SetResidence(ca, coreID, true)
 	c.stats.ColdFills++
 
@@ -117,8 +116,8 @@ func (c *Controller) fastAttachAlias(ca uint64, pte *mmu.PTE, coreID int) bool {
 		pte.Frame = ca
 		pte.VC = true
 	case PendingEvict:
-		e.State = Cached
-		c.allocQ.Enqueue(ca)
+		c.gipt.SetState(ca, Cached)
+		c.enqueueAlloc(ca)
 		c.stats.Rescues++
 		pte.Frame = ca
 		pte.VC = true

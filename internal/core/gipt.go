@@ -73,9 +73,20 @@ type GIPTEntry struct {
 }
 
 // GIPT is the global inverted page table: one entry per cache block,
-// indexed by cache address.
+// indexed by cache address. Besides the rows it keeps the two counts the
+// FIFO victim search needs to prove, in O(1), that a pass over the
+// allocation queue would find nothing (see Controller.noVictim), so block
+// state and residence change only through its methods.
 type GIPT struct {
 	entries []GIPTEntry
+	// queued[ca] is ca's number of entries in the controller's
+	// allocation queue (a rescued block can sit there more than once).
+	queued []uint32
+	// evictable counts Cached blocks no TLB references; stale counts
+	// allocation-queue entries of Free or PendingEvict blocks, which a
+	// queue pass drops.
+	evictable int
+	stale     int
 }
 
 // NewGIPT returns a GIPT covering `blocks` page-sized cache blocks.
@@ -83,15 +94,30 @@ func NewGIPT(blocks int) *GIPT {
 	if blocks <= 0 {
 		panic("core: GIPT needs at least one block")
 	}
-	return &GIPT{entries: make([]GIPTEntry, blocks)}
+	return &GIPT{entries: make([]GIPTEntry, blocks), queued: make([]uint32, blocks)}
 }
 
 // Blocks returns the number of cache blocks covered.
 func (g *GIPT) Blocks() int { return len(g.entries) }
 
-// Entry returns a pointer to the entry for cache address ca.
+// Entry returns a pointer to the entry for cache address ca. Callers may
+// change its mapping, dirtiness and sharers; State and Residence change
+// through SetState, SetResidence and ClearResidence.
 func (g *GIPT) Entry(ca uint64) *GIPTEntry {
 	return &g.entries[ca]
+}
+
+// tally adds sign × ca's share of the victim-selection counts.
+func (g *GIPT) tally(ca uint64, sign int) {
+	e := &g.entries[ca]
+	switch e.State {
+	case Cached:
+		if e.Residence == 0 {
+			g.evictable += sign
+		}
+	case Free, PendingEvict:
+		g.stale += sign * int(g.queued[ca])
+	}
 }
 
 // Insert establishes the cache→physical mapping for a fill in flight.
@@ -100,20 +126,69 @@ func (g *GIPT) Insert(ca uint64, ppn uint64, pte *mmu.PTE, vpn uint64) {
 	if e.State != Free {
 		panic(fmt.Sprintf("core: GIPT insert into %v block CA-%d", e.State, ca))
 	}
+	g.tally(ca, -1)
 	*e = GIPTEntry{PPN: ppn, PTE: pte, VPN: vpn, State: Filling}
 }
 
 // Invalidate clears the entry after an eviction completes.
 func (g *GIPT) Invalidate(ca uint64) {
+	g.tally(ca, -1)
 	g.entries[ca] = GIPTEntry{State: Free}
+	g.tally(ca, 1)
+}
+
+// SetState moves ca to lifecycle state s.
+func (g *GIPT) SetState(ca uint64, s BlockState) {
+	g.tally(ca, -1)
+	g.entries[ca].State = s
+	g.tally(ca, 1)
 }
 
 // SetResidence marks or clears core's TLB residence bit for ca.
 func (g *GIPT) SetResidence(ca uint64, coreID int, resident bool) {
+	e := &g.entries[ca]
+	was := e.Residence
 	if resident {
-		g.entries[ca].Residence |= 1 << uint(coreID)
+		e.Residence |= 1 << uint(coreID)
 	} else {
-		g.entries[ca].Residence &^= 1 << uint(coreID)
+		e.Residence &^= 1 << uint(coreID)
+	}
+	if e.State == Cached && (was == 0) != (e.Residence == 0) {
+		if e.Residence == 0 {
+			g.evictable++
+		} else {
+			g.evictable--
+		}
+	}
+}
+
+// ClearResidence drops every core's residence bit for ca (a forced
+// shootdown).
+func (g *GIPT) ClearResidence(ca uint64) {
+	g.tally(ca, -1)
+	g.entries[ca].Residence = 0
+	g.tally(ca, 1)
+}
+
+// queue records d more (or, negative, fewer) allocation-queue entries
+// for ca.
+func (g *GIPT) queue(ca uint64, d int) {
+	g.queued[ca] = uint32(int(g.queued[ca]) + d)
+	if s := g.entries[ca].State; s == Free || s == PendingEvict {
+		g.stale += d
+	}
+}
+
+// recount rebuilds the queue multiplicities from the allocation queue's
+// contents and the victim-selection counts from the rows.
+func (g *GIPT) recount(allocQ []uint64) {
+	clear(g.queued)
+	for _, ca := range allocQ {
+		g.queued[ca]++
+	}
+	g.evictable, g.stale = 0, 0
+	for ca := range g.entries {
+		g.tally(uint64(ca), 1)
 	}
 }
 

@@ -155,5 +155,6 @@ func (c *Controller) Restore(codec *PTECodec, st *CtrlState) error {
 			e.Sharers = append(e.Sharers, pte)
 		}
 	}
+	c.gipt.recount(st.AllocQ)
 	return nil
 }

@@ -119,7 +119,7 @@ func fetchVisit(cc *coreCtx, v *trace.Visit) {
 
 // FastForwardRefs advances the machine by at least n trace references on
 // the functional fast path, interleaving active cores in simulated-time
-// order (the same minimal-clock rule runPhase uses). Visits are atomic,
+// order (the same scheduler runPhase uses). Visits are atomic,
 // so the span may overshoot n by up to one visit. The kernel is drained
 // first; counters are restored on return.
 func (m *Machine) FastForwardRefs(n uint64) error {
@@ -135,18 +135,10 @@ func (m *Machine) fastForward(n, instrTarget uint64) error {
 	defer m.ffEnd()
 	var v trace.Visit
 	var done uint64
-	if solo := m.soloCore(); solo != nil {
-		for done < n && solo.cpu.Instructions < instrTarget {
-			fetchVisit(solo, &v)
-			if err := m.ffVisit(solo, &v); err != nil {
-				return err
-			}
-			done += v.Refs
-		}
-		return nil
-	}
+	q := &m.runq
+	q.reset(m.cores, instrTarget)
 	for done < n {
-		cc := m.nextCore(instrTarget)
+		cc := q.next()
 		if cc == nil {
 			return nil
 		}
@@ -155,6 +147,7 @@ func (m *Machine) fastForward(n, instrTarget uint64) error {
 			return err
 		}
 		done += v.Refs
+		q.stepped()
 	}
 	return nil
 }

@@ -122,11 +122,8 @@ type Machine struct {
 	giptCursor   uint64
 	ncThreshold  int
 
-	// Scheduler state: scratch slice reused by runPhase (heap or scan
-	// order), and a test switch pinning the O(cores) scan.
-	sched     []*coreCtx
-	forceScan bool
-	refs      uint64 // trace references processed (all phases)
+	runq runQueue // core scheduler, reloaded by every stepping loop
+	refs uint64   // trace references processed (all phases)
 
 	// Fast-forward state: the organization's functional fast path (nil
 	// when unimplemented) and the per-core counter snapshots bracketing
@@ -319,7 +316,7 @@ func New(cfg *config.SystemConfig, w Workload) (*Machine, error) {
 		}
 		m.caShift = m.spShift + 12 // log2(spPages * config.PageSize)
 	}
-	m.sched = make([]*coreCtx, 0, len(m.cores))
+	m.runq.h = make([]*coreCtx, 0, len(m.cores))
 	m.gauges, _ = o.(org.GaugeSource)
 	m.fast, _ = o.(org.FastPath)
 	return m, nil

@@ -37,153 +37,115 @@ func (m *Machine) Run(warmup, measure uint64) (*Result, error) {
 	return m.collect(), nil
 }
 
-// runPhase advances every active core until it has retired `target`
-// instructions, interleaving cores in simulated-time order. One runnable
-// core needs no ordering at all; small machines use a linear min-scan;
-// larger ones an indexed min-heap keyed by (core time, core id) — all three
-// pick the same core at every step (minimal time, lowest id on ties), so
-// the choice is a pure performance knob.
-func (m *Machine) runPhase(target uint64) error {
-	runnable := m.sched[:0]
-	for _, cc := range m.cores {
+// runQueue is the machine's one core scheduler: an indexed min-heap of
+// the runnable cores keyed by (clock, id), whose root — minimal clock,
+// lowest id on ties — is the next core to step. A step moves only the
+// stepped core's clock and instruction count (every request a core
+// issues blocks that core alone), so after a step only the root's key
+// has changed: the leader keeps running while it still precedes both
+// children and otherwise sinks by one sift-down. A core leaves the heap
+// once it has retired the instruction target.
+type runQueue struct {
+	h      []*coreCtx
+	target uint64
+}
+
+// precedes orders cores by clock, then id.
+func precedes(a, b *coreCtx) bool {
+	an, bn := a.cpu.Now(), b.cpu.Now()
+	return an < bn || an == bn && a.id < b.id
+}
+
+// reset loads every active core that has not retired target instructions.
+func (q *runQueue) reset(cores []*coreCtx, target uint64) {
+	q.h = q.h[:0]
+	q.target = target
+	for _, cc := range cores {
 		if cc.active && cc.cpu.Instructions < target {
-			runnable = append(runnable, cc)
+			q.h = append(q.h, cc)
 		}
 	}
-	m.sched = runnable
-	switch {
-	case len(runnable) == 0:
+	for i := len(q.h)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+}
+
+// next returns the core to step, or nil once every core is done.
+func (q *runQueue) next() *coreCtx {
+	if len(q.h) == 0 {
 		return nil
-	case len(runnable) == 1:
-		cc := runnable[0]
-		for cc.cpu.Instructions < target {
-			if err := m.step(cc); err != nil {
-				return err
-			}
-		}
-		return nil
-	case len(runnable) <= 4 || m.forceScan:
-		return m.runPhaseScan(target)
-	default:
-		return m.runPhaseHeap(runnable, target)
 	}
+	return q.h[0]
 }
 
-// nextCore picks the runnable core with the minimal clock (lowest id on
-// ties — the scan keeps the first minimum), or nil once every core has
-// retired target instructions.
-func (m *Machine) nextCore(target uint64) *coreCtx {
-	var next *coreCtx
-	for _, cc := range m.cores {
-		if !cc.active || cc.cpu.Instructions >= target {
-			continue
-		}
-		if next == nil || cc.cpu.Now() < next.cpu.Now() {
-			next = cc
-		}
+// stepped restores the heap after its root core took a step.
+func (q *runQueue) stepped() {
+	h := q.h
+	if h[0].cpu.Instructions >= q.target {
+		last := len(h) - 1
+		h[0] = h[last]
+		q.h = h[:last]
+		q.down(0)
+		return
 	}
-	return next
+	// down's first pass makes the same two comparisons; making them here
+	// spares the call on every step that leaves the leader in front.
+	if (len(h) < 2 || precedes(h[0], h[1])) && (len(h) < 3 || precedes(h[0], h[2])) {
+		return // the leader runs on
+	}
+	q.down(0)
 }
 
-// soloCore returns the single active core, or nil when zero or several
-// cores are active.
-func (m *Machine) soloCore() *coreCtx {
-	var solo *coreCtx
-	for _, cc := range m.cores {
-		if !cc.active {
-			continue
-		}
-		if solo != nil {
-			return nil
-		}
-		solo = cc
-	}
-	return solo
-}
-
-// runPhaseScan is the O(cores) min-scan: cheapest for small machines.
-func (m *Machine) runPhaseScan(target uint64) error {
+// down sifts h[i] to its place below.
+func (q *runQueue) down(i int) {
+	h := q.h
 	for {
-		next := m.nextCore(target)
-		if next == nil {
-			return nil
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
-		if err := m.step(next); err != nil {
-			return err
+		if r := c + 1; r < len(h) && precedes(h[r], h[c]) {
+			c = r
 		}
+		if !precedes(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
-// runPhaseHeap interleaves many cores through an indexed min-heap. Only the
-// stepped core's clock changes, so each step is one sift-down instead of a
-// full rescan.
-func (m *Machine) runPhaseHeap(h []*coreCtx, target uint64) error {
-	less := func(a, b *coreCtx) bool {
-		an, bn := a.cpu.Now(), b.cpu.Now()
-		if an != bn {
-			return an < bn
-		}
-		return a.id < b.id
-	}
-	siftDown := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				return
-			}
-			if r := c + 1; r < len(h) && less(h[r], h[c]) {
-				c = r
-			}
-			if !less(h[c], h[i]) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(h) > 1 {
-		cc := h[0]
-		if err := m.step(cc); err != nil {
-			return err
-		}
-		if cc.cpu.Instructions >= target {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(0)
-	}
-	cc := h[0]
-	for cc.cpu.Instructions < target {
-		if err := m.step(cc); err != nil {
-			return err
-		}
-	}
-	return nil
+// runPhase advances every active core until it has retired `target`
+// instructions, interleaving cores in simulated-time order.
+func (m *Machine) runPhase(target uint64) error {
+	m.runq.reset(m.cores, target)
+	return m.stepRefs(^uint64(0))
 }
 
 // Steps advances the machine by n trace references, interleaving active
 // cores in simulated-time order with no instruction target. It exists for
 // benchmarks and profiling harnesses that meter the per-reference path.
 func (m *Machine) Steps(n int) error {
-	if solo := m.soloCore(); solo != nil {
-		for i := 0; i < n; i++ {
-			if err := m.step(solo); err != nil {
-				return err
-			}
-		}
+	if n <= 0 {
 		return nil
 	}
-	for i := 0; i < n; i++ {
-		next := m.nextCore(^uint64(0))
-		if next == nil {
+	m.runq.reset(m.cores, ^uint64(0))
+	return m.stepRefs(uint64(n))
+}
+
+// stepRefs steps cores in scheduler order until n more references have
+// been simulated or every core in the run queue has reached its target.
+func (m *Machine) stepRefs(n uint64) error {
+	q := &m.runq
+	for start := m.refs; m.refs-start < n; {
+		cc := q.next()
+		if cc == nil {
 			return nil
 		}
-		if err := m.step(next); err != nil {
+		if err := m.step(cc); err != nil {
 			return err
 		}
+		q.stepped()
 	}
 	return nil
 }
@@ -235,7 +197,15 @@ func (m *Machine) beginMeasurement() {
 
 // step processes one trace reference on one core.
 func (m *Machine) step(cc *coreCtx) error {
-	a := cc.gen.Next()
+	// Build the reference in place through the concrete generator: a
+	// by-value Access copied out of the interface call costs a
+	// store-forwarding stall on every reference.
+	var a trace.Access
+	if cc.vgen != nil {
+		cc.vgen.Fill(&a)
+	} else {
+		a = cc.gen.Next()
+	}
 	cc.cpu.Retire(a.Gap + 1)
 	m.kernel.Advance(cc.cpu.Now())
 	m.refs++

@@ -145,28 +145,16 @@ func (m *Machine) MeasureSampled(measure uint64, spec SampleSpec) (*Result, erro
 		// Detailed-warming prefix: cycle-accurate, outside the IPC
 		// observation.
 		start := m.refs
-		for m.refs-start < spec.WarmRefs {
-			cc := m.nextCore(target)
-			if cc == nil {
-				break
-			}
-			if err := m.step(cc); err != nil {
-				return nil, err
-			}
+		m.runq.reset(m.cores, target)
+		if err := m.stepRefs(spec.WarmRefs); err != nil {
+			return nil, err
 		}
 		// Cycle-accurate window of WindowRefs references.
 		for i, cc := range m.cores {
 			winC[i], winI[i] = cc.cpu.Now(), cc.cpu.Instructions
 		}
-		wstart := m.refs
-		for m.refs-wstart < spec.WindowRefs {
-			cc := m.nextCore(target)
-			if cc == nil {
-				break
-			}
-			if err := m.step(cc); err != nil {
-				return nil, err
-			}
+		if err := m.stepRefs(spec.WindowRefs); err != nil {
+			return nil, err
 		}
 		measured += m.refs - start
 		// Close the window without draining in-flight misses. A drain

@@ -17,6 +17,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -147,11 +148,6 @@ func (r *rng) next() uint64 {
 	return mix(r.s)
 }
 
-// float returns a uniform float64 in [0, 1).
-func (r *rng) float() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
-}
-
 // intn returns a uniform int in [0, n).
 func (r *rng) intn(n int) int {
 	if n <= 0 {
@@ -190,6 +186,10 @@ type Generator struct {
 	repeats    int // repeats remaining for the current block
 	gapBase    int
 
+	// Integer forms of the profile's probabilities (see threshold):
+	// a draw u passes "float < f" exactly when u>>11 < thr.
+	sharedThr, hotThr, singThr, writeThr, depThr uint64
+
 	emitted uint64
 }
 
@@ -223,14 +223,36 @@ func NewThreadGroup(p Profile, n int, seed uint64) ([]*Generator, error) {
 	out := make([]*Generator, n)
 	for i := range out {
 		out[i] = &Generator{
-			p:       p,
-			sh:      sh,
-			r:       rng{s: seed*0x9e3779b97f4a7c15 + uint64(i)*0xdeadbeefcafef00d + 1},
-			thread:  i,
-			gapBase: gapFor(p),
+			p:         p,
+			sh:        sh,
+			r:         rng{s: seed*0x9e3779b97f4a7c15 + uint64(i)*0xdeadbeefcafef00d + 1},
+			thread:    i,
+			gapBase:   gapFor(p),
+			sharedThr: threshold(p.SharedFrac),
+			hotThr:    threshold(p.HotFraction),
+			singThr:   threshold(p.SingletonFrac),
+			writeThr:  threshold(p.WriteFraction),
+			depThr:    threshold(p.DependentFrac),
 		}
 	}
 	return out, nil
+}
+
+// threshold converts a probability f into the integer bound the draws are
+// compared against: float64(u>>11)/2^53 < f  ⟺  u>>11 < ceil(f·2^53).
+// The division is exact (u>>11 < 2^53) and scaling f by a power of two
+// only shifts its exponent, so comparing the integer u>>11 with the real
+// f·2^53 is the float compare, and an integer is below a real exactly when
+// it is below the real's ceiling. f ≤ 0 (and NaN, which no float compare
+// passes) gives 0, never taken; f ≥ 1 gives 2^53, always taken.
+func threshold(f float64) uint64 {
+	switch {
+	case !(f > 0):
+		return 0
+	case f >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(f * (1 << 53)))
 }
 
 // gapFor derives the inter-block instruction gap from the target MPKI:
@@ -273,14 +295,14 @@ func (g *Generator) pickPage() (vpn uint64, lowReuse, shared bool) {
 	sh := g.sh
 	// Inter-process shared region (read-mostly, skewed towards its head
 	// like the hot functions of a shared library).
-	if g.p.SharedFrac > 0 && g.r.float() < g.p.SharedFrac {
+	if g.sharedThr > 0 && g.r.next()>>11 < g.sharedThr {
 		a, b := g.r.intn(SharedRegionPages), g.r.intn(SharedRegionPages)
 		if b < a {
 			a = b
 		}
 		return SharedBase + uint64(a), false, true
 	}
-	if len(sh.hot) > 0 && g.r.float() < g.p.HotFraction {
+	if len(sh.hot) > 0 && g.r.next()>>11 < g.hotThr {
 		// Hot-set reuse. Favor recency: take the more recently inserted
 		// of two uniform picks (a cheap Zipf-like skew).
 		a, b := g.r.intn(len(sh.hot)), g.r.intn(len(sh.hot))
@@ -292,7 +314,7 @@ func (g *Generator) pickPage() (vpn uint64, lowReuse, shared bool) {
 	}
 	// Singleton visits go to fresh, never-repeated pages: they are what
 	// pollutes page-granularity caches (Section 3.5's over-fetching).
-	if g.r.float() < g.p.SingletonFrac {
+	if g.r.next()>>11 < g.singThr {
 		vpn = SingletonBase + sh.singNext
 		sh.singNext++
 		sh.lowReuse[vpn] = true
@@ -335,8 +357,29 @@ func (sh *shared) insertHot(vpn uint64) {
 // Next returns the next reference in the stream. The stream is infinite;
 // callers stop at their instruction budget.
 func (g *Generator) Next() Access {
-	if g.blocksCut == 0 {
-		// Start a new page visit.
+	var a Access
+	g.Fill(&a)
+	return a
+}
+
+// Fill writes the next reference into *a (every field), advancing the
+// stream exactly as Next does. Hot loops holding a concrete *Generator
+// use it to build the reference in place instead of copying Next's
+// by-value result.
+func (g *Generator) Fill(a *Access) {
+	gap := g.gapBase
+	switch c := g.blocksCut; {
+	case c != 0 && g.repeats > 0:
+		// Near-term re-reference of the same block (absorbed by L1/L2).
+		g.repeats--
+		gap = 1
+	case c != 0 && c != 1:
+		// Advance to the next block of the burst.
+		g.blocksCut--
+		g.blockIdx++
+		g.repeats = g.p.BlockRepeats
+	default:
+		// The burst is over (or never began): start a new page visit.
 		g.page, g.pageLow, g.pageShared = g.pickPage()
 		g.blocksCut = g.p.SpatialBlocks
 		if g.pageLow {
@@ -344,40 +387,21 @@ func (g *Generator) Next() Access {
 		}
 		g.blockIdx = g.r.intn(64 - g.blocksCut + 1)
 		g.repeats = g.p.BlockRepeats
-		g.emitted++
-		return g.emit(g.gapBase)
 	}
-	if g.repeats > 0 {
-		// Near-term re-reference of the same block (absorbed by L1/L2).
-		g.repeats--
-		g.emitted++
-		return g.emit(1)
-	}
-	// Advance to the next block of the burst.
-	g.blocksCut--
-	if g.blocksCut == 0 {
-		return g.Next()
-	}
-	g.blockIdx++
-	g.repeats = g.p.BlockRepeats
 	g.emitted++
-	return g.emit(g.gapBase)
-}
-
-func (g *Generator) emit(gap int) Access {
-	addr := (g.page << 12) | uint64(g.blockIdx)<<6 | uint64(g.r.intn(64))&0x38
-	write := g.r.float() < g.p.WriteFraction
-	if g.pageShared {
-		write = false // shared library text/ro-data
-	}
-	return Access{
-		VAddr:     addr,
-		Write:     write,
-		Gap:       gap,
-		LowReuse:  g.pageLow,
-		Dependent: g.r.float() < g.p.DependentFrac,
-		Shared:    g.pageShared,
-	}
+	// Each reference takes three draws, in order: the word within the
+	// block, write, dependent. Read the state once and evaluate all three.
+	d := uint64(gamma)
+	s := g.r.s
+	g.r.s = s + 3*d
+	a.VAddr = g.page<<12 | uint64(g.blockIdx)<<6 | mix(s+d)&0x38
+	// Shared pages are library text/ro-data: the write draw is still
+	// consumed, but never writes.
+	a.Write = mix(s+2*d)>>11 < g.writeThr && !g.pageShared
+	a.Gap = gap
+	a.LowReuse = g.pageLow
+	a.Dependent = mix(s+3*d)>>11 < g.depThr
+	a.Shared = g.pageShared
 }
 
 // Emitted returns the number of references produced so far.
@@ -440,21 +464,15 @@ func (g *Generator) NextVisit(v *Visit) {
 	v.Shared = g.pageShared
 	v.AnyWrite, v.FirstWrite = 0, 0
 
-	// Each reference consumes three draws in emit order: address bits,
+	// Each reference consumes three draws in Fill order: address bits,
 	// write, dependent. Only the write draw is state-relevant (shared
 	// pages force writes off after drawing), so pull the write bits out of
 	// the stream positionally and skip the visit's draws in one step.
-	if !g.pageShared && g.p.WriteFraction > 0 {
+	if !g.pageShared && g.writeThr > 0 {
 		d := uint64(gamma)
 		s := g.r.s + 2*d
-		// float64(u>>11)/2^53 < wf  ⟺  float64(u>>11) < wf·2^53: the
-		// division is exact (u>>11 < 2^53) and scaling wf by a power of
-		// two only shifts its exponent, so the hoisted threshold compare
-		// is bit-identical to the per-reference form — and free of the
-		// per-draw division.
-		thr := g.p.WriteFraction * float64(1<<53)
 		for j := 0; j < refs; j++ {
-			if float64(mix(s)>>11) < thr {
+			if mix(s)>>11 < g.writeThr {
 				b := uint(j / perBlock)
 				v.AnyWrite |= 1 << b
 				if j%perBlock == 0 {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -410,5 +411,184 @@ func TestStreamWellFormedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refNext is the recursive, emit-based reference form of Generator.Next:
+// the stream definition the straight-line Fill must reproduce bit for
+// bit. It advances g's state the same way, so the two can be compared on
+// identically seeded generators.
+func refNext(g *Generator) Access {
+	float := func() float64 { return float64(g.r.next()>>11) / float64(1<<53) }
+	emit := func(gap int) Access {
+		addr := (g.page << 12) | uint64(g.blockIdx)<<6 | uint64(g.r.intn(64))&0x38
+		write := float() < g.p.WriteFraction
+		if g.pageShared {
+			write = false
+		}
+		return Access{
+			VAddr:     addr,
+			Write:     write,
+			Gap:       gap,
+			LowReuse:  g.pageLow,
+			Dependent: float() < g.p.DependentFrac,
+			Shared:    g.pageShared,
+		}
+	}
+	if g.blocksCut == 0 {
+		g.page, g.pageLow, g.pageShared = refPickPage(g, float)
+		g.blocksCut = g.p.SpatialBlocks
+		if g.pageLow {
+			g.blocksCut = 1
+		}
+		g.blockIdx = g.r.intn(64 - g.blocksCut + 1)
+		g.repeats = g.p.BlockRepeats
+		g.emitted++
+		return emit(g.gapBase)
+	}
+	if g.repeats > 0 {
+		g.repeats--
+		g.emitted++
+		return emit(1)
+	}
+	g.blocksCut--
+	if g.blocksCut == 0 {
+		return refNext(g)
+	}
+	g.blockIdx++
+	g.repeats = g.p.BlockRepeats
+	g.emitted++
+	return emit(g.gapBase)
+}
+
+// refPickPage is pickPage with the profile's float probabilities compared
+// directly, as the reference form drew them.
+func refPickPage(g *Generator, float func() float64) (uint64, bool, bool) {
+	sh := g.sh
+	if g.p.SharedFrac > 0 && float() < g.p.SharedFrac {
+		a, b := g.r.intn(SharedRegionPages), g.r.intn(SharedRegionPages)
+		if b < a {
+			a = b
+		}
+		return SharedBase + uint64(a), false, true
+	}
+	if len(sh.hot) > 0 && float() < g.p.HotFraction {
+		a, b := g.r.intn(len(sh.hot)), g.r.intn(len(sh.hot))
+		idx := a
+		if recency(sh, b) > recency(sh, a) {
+			idx = b
+		}
+		return sh.hot[idx], false, false
+	}
+	if float() < g.p.SingletonFrac {
+		vpn := SingletonBase + sh.singNext
+		sh.singNext++
+		sh.lowReuse[vpn] = true
+		return vpn, true, false
+	}
+	var idx uint64
+	if g.p.Streaming {
+		idx = sh.cold % uint64(g.p.FootprintPages)
+	} else {
+		idx = (sh.cold * sh.perm) % uint64(g.p.FootprintPages)
+	}
+	sh.cold++
+	vpn := sh.baseVPN + idx
+	sh.insertHot(vpn)
+	return vpn, false, false
+}
+
+// TestFillMatchesReference pins the straight-line generator to the
+// reference stream: every SPEC and PARSEC profile at the default 64×
+// scale plus the visit-path corner profiles, one and four threads with an
+// irregular thread interleaving, through both Fill (into a reused Access,
+// so a field Fill forgot to write would show) and Next.
+func TestFillMatchesReference(t *testing.T) {
+	refs := 2_000_000
+	if testing.Short() || raceEnabled {
+		refs = 100_000
+	}
+	var profiles []Profile
+	for _, name := range append(SPECNames(), PARSECNames()...) {
+		p, err := ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles = append(profiles, p.Scaled(6))
+	}
+	profiles = append(profiles, visitProfiles()...)
+	for _, p := range profiles {
+		for _, threads := range []int{1, 4} {
+			got, err := NewThreadGroup(p, threads, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := NewThreadGroup(p, threads, 7)
+			pick := rng{s: 99}
+			var a Access
+			for i := 0; i < refs; i++ {
+				k := 0
+				if threads > 1 {
+					k = pick.intn(threads)
+				}
+				if i&1 == 0 {
+					got[k].Fill(&a)
+				} else {
+					a = got[k].Next()
+				}
+				if w := refNext(want[k]); a != w {
+					t.Fatalf("%s/%d threads: ref %d (thread %d): got %+v, want %+v", p.Name, threads, i, k, a, w)
+				}
+			}
+			for k := range got {
+				if got[k].State() != want[k].State() {
+					t.Fatalf("%s/%d threads: thread %d state %+v, want %+v", p.Name, threads, k, got[k].State(), want[k].State())
+				}
+			}
+			if !reflect.DeepEqual(got[0].SharedState(), want[0].SharedState()) {
+				t.Fatalf("%s/%d threads: shared state diverged", p.Name, threads)
+			}
+		}
+	}
+}
+
+// TestThreshold pins the integer form of "float64(u>>11)/2^53 < f" at
+// the boundaries where a ceiling error would show: draws just below, at
+// and above f·2^53, for exactly representable and inexact f.
+func TestThreshold(t *testing.T) {
+	for _, f := range []float64{0, 1e-300, 0.1, 0.25, 0.3, 1.0 / 3, 0.5, 0.999999, 1, math.NaN(), -0.5} {
+		thr := threshold(f)
+		c := uint64(0)
+		if f > 0 {
+			c = uint64(math.Min(f, 1) * (1 << 53))
+		}
+		for x := c - min64(c, 2); x <= c+2 && x < 1<<53; x++ {
+			want := float64(x)/float64(1<<53) < f
+			if got := x < thr; got != want {
+				t.Errorf("f=%v x=%d: integer compare %v, float compare %v", f, x, got, want)
+			}
+		}
+	}
+}
+
+func min64(a, b uint64) uint64 {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+// BenchmarkGeneratorFill meters one reference of the mcf stream (64×
+// scale) per iteration.
+func BenchmarkGeneratorFill(b *testing.B) {
+	p, err := ProfileByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := NewGenerator(p.Scaled(6), 1)
+	var a Access
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Fill(&a)
 	}
 }

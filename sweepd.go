@@ -412,7 +412,14 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.inflight.Done()
 	s.tel.sweepsInflight.Inc()
-	defer s.tel.sweepsInflight.Dec()
+	gaugeHeld := true
+	releaseGauge := func() {
+		if gaugeHeld {
+			gaugeHeld = false
+			s.tel.sweepsInflight.Dec()
+		}
+	}
+	defer releaseGauge()
 
 	began := time.Now()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
@@ -459,6 +466,17 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
+	// finish closes the sweep everywhere a client can look — trace state,
+	// the sweep log line, the in-flight gauge — and only then streams the
+	// terminal done or error event, so a client that has read it finds
+	// the sweep finished in /metrics, /v1/stats, /v1/sweeps and /v1/trace.
+	finish := func(outcome string, delta sweepapi.CacheStats, err error, terminal *sweepapi.Event) {
+		tr.Finish(outcome)
+		s.logSweep(tr, r.RemoteAddr, outcome, delta, err)
+		releaseGauge()
+		emit(terminal)
+	}
+
 	emit(&sweepapi.Event{
 		Type: sweepapi.EventAccepted, SweepID: id,
 		Jobs: len(jobs), Workers: workers, Fingerprints: fps,
@@ -544,9 +562,7 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, context.Canceled) {
 			outcome = telemetry.StateCanceled
 		}
-		emit(&sweepapi.Event{Type: sweepapi.EventError, SweepID: id, Error: err.Error()})
-		tr.Finish(outcome)
-		s.logSweep(tr, r.RemoteAddr, outcome, cacheDelta(), err)
+		finish(outcome, cacheDelta(), err, &sweepapi.Event{Type: sweepapi.EventError, SweepID: id, Error: err.Error()})
 		return
 	}
 	streamOff := tr.Since()
@@ -558,9 +574,7 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 		tr.Add("encode", telemetry.CatPhase, i+1, encStart, encEnd)
 		if err != nil {
 			err = fmt.Errorf("encoding job %d result: %v", i, err)
-			emit(&sweepapi.Event{Type: sweepapi.EventError, SweepID: id, Error: err.Error()})
-			tr.Finish(telemetry.StateError)
-			s.logSweep(tr, r.RemoteAddr, telemetry.StateError, cacheDelta(), err)
+			finish(telemetry.StateError, cacheDelta(), err, &sweepapi.Event{Type: sweepapi.EventError, SweepID: id, Error: err.Error()})
 			return
 		}
 		emit(&sweepapi.Event{
@@ -580,13 +594,11 @@ func (s *SweepServer) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		tr.Add(fmt.Sprintf("%s/%v", jobs[i].Workload, jobs[i].Design), cat, i+1, runOff, sent)
 	}
-	delta := cacheDelta()
-	emit(&sweepapi.Event{Type: sweepapi.EventDone, SweepID: id, Cache: &delta})
 	end := tr.Since()
 	tr.Add("stream", telemetry.CatSweep, 0, streamOff, end)
 	tr.Add("sweep "+id, telemetry.CatSweep, 0, 0, end)
-	tr.Finish(telemetry.StateOK)
-	s.logSweep(tr, r.RemoteAddr, telemetry.StateOK, delta, nil)
+	delta := cacheDelta()
+	finish(telemetry.StateOK, delta, nil, &sweepapi.Event{Type: sweepapi.EventDone, SweepID: id, Cache: &delta})
 }
 
 // statsReply snapshots the service statistics.
