@@ -338,7 +338,7 @@ func BenchmarkAblationMemoryWalk(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		o.MemoryWalk = true
+		o.WalkModel = "pwc"
 		r1, err := Run(Tagless, "mcf", o)
 		if err != nil {
 			b.Fatal(err)

@@ -17,7 +17,7 @@ import (
 //
 // It is a var, not a const, only so the invalidation tests can bump it;
 // production code must treat it as a constant.
-var modelVersion = 1
+var modelVersion = 2
 
 // ModelVersion reports the simulator's behavioral generation stamp —
 // the canonical.go constant that prefixes every result-cache key. The
@@ -50,7 +50,6 @@ var semanticOptionFields = map[string]bool{
 	"Refresh":             true,
 	"L2TLBEntries":        true,
 	"Alpha":               true,
-	"MemoryWalk":          true,
 	"WalkModel":           true,
 	"PWCHitCycles":        true,
 	"TLBTopology":         true,
@@ -101,14 +100,14 @@ func (o Options) Canonical() string {
 		"Shift=%d Warmup=%d Measure=%d Seed=%d CacheMB=%d Policy=%d "+
 			"NCAccessThreshold=%d SynchronousEviction=%t CachedGIPT=%t "+
 			"SharedAliasTable=%t HotFilterThreshold=%d Superpages=%t "+
-			"Refresh=%t L2TLBEntries=%d Alpha=%d MemoryWalk=%t "+
+			"Refresh=%t L2TLBEntries=%d Alpha=%d "+
 			"WalkModel=%q PWCHitCycles=%d TLBTopology=%q "+
 			"CtxSwitchRefs=%d CtxSwitchFlush=%t MSHRs=%d "+
 			"EpochRefs=%d Sample={%s} Quiesced=%t",
 		o.Shift, warmup, o.Measure, o.Seed, o.CacheMB, o.Policy,
 		o.NCAccessThreshold, o.SynchronousEviction, o.CachedGIPT,
 		o.SharedAliasTable, o.HotFilterThreshold, o.Superpages,
-		o.Refresh, o.L2TLBEntries, o.Alpha, o.MemoryWalk,
+		o.Refresh, o.L2TLBEntries, o.Alpha,
 		o.WalkModel, o.PWCHitCycles, o.TLBTopology,
 		o.CtxSwitchRefs, o.CtxSwitchFlush, o.MSHRs,
 		o.EpochRefs, sample, o.quiesced())
@@ -138,7 +137,7 @@ func (o Options) projectFor(design Design) Options {
 	// walk-cache-bearing models (pwc, nested), so under the fixed model
 	// its edits must not invalidate cache entries. Likewise the flush
 	// policy only matters when context switching is on at all.
-	if eff := o.WalkModel; eff == "fixed" || (eff == "" && !o.MemoryWalk) {
+	if o.WalkModel == "" || o.WalkModel == "fixed" {
 		o.PWCHitCycles = 0
 	}
 	if o.CtxSwitchRefs == 0 {

@@ -156,7 +156,7 @@ func TestPreimageContents(t *testing.T) {
 	}
 	for _, want := range []string{
 		"taglessdram result-cache preimage v1",
-		"model=1",
+		"model=2",
 		"design=3(cTLB)",
 		`workload="sphinx3"`,
 		"trace=",

@@ -47,8 +47,7 @@ func main() {
 		traceOut = flag.String("trace-events", "", "write a Chrome trace_event JSON (chrome://tracing) of the first kernel events to this file")
 		traceMax = flag.Int("trace-max", 0, "trace window size in events (0 = default)")
 
-		walkModel = flag.String("walk", "", "page-table-walk model: fixed | pwc | nested (empty = fixed, or pwc under -memwalk)")
-		memWalk   = flag.Bool("memwalk", false, "legacy alias for -walk pwc: model walks as memory traffic")
+		walkModel = flag.String("walk", "", "page-table-walk model: fixed | pwc | nested (empty = fixed)")
 		pwcHit    = flag.Int("pwc-hit", 2, "per-level page-walk-cache hit cycles (pwc and nested models)")
 		tlbTopo   = flag.String("tlb-topo", "", "TLB topology: private | shared (empty = private)")
 		ctxRefs   = flag.Uint64("ctx-switch-refs", 0, "context-switch each core every N trace references (0 = off)")
@@ -114,7 +113,6 @@ func main() {
 		o.Policy = taglessdram.CLOCK
 	}
 	o.WalkModel = *walkModel
-	o.MemoryWalk = *memWalk
 	o.PWCHitCycles = *pwcHit
 	o.TLBTopology = *tlbTopo
 	o.CtxSwitchRefs = *ctxRefs

@@ -273,12 +273,6 @@ type SystemConfig struct {
 	// TLB miss handler, excluding any cache-fill work. Used by the
 	// fixed-cost walk model.
 	PageWalkCycles int
-	// MemoryWalk models the page-table walk as actual memory traffic: the
-	// upper levels hit the MMU's page-walk caches (a few cycles each) and
-	// the leaf PTE access goes to DRAM unless recently used. The default
-	// fixed-cost model matches the paper's constant MissPenalty_TLB.
-	// Retained for compatibility; WalkModel supersedes it when set.
-	MemoryWalk bool
 	// WalkModel names the internal/vm walk model handling TLB misses:
 	// "fixed" (the PageWalkCycles scalar), "pwc" (walk-cache-aware memory
 	// walk), or "nested" (guest→host 2D walk for virtualized scenarios).
@@ -306,15 +300,11 @@ type SystemConfig struct {
 	CorePowerWatts float64
 }
 
-// EffectiveWalkModel resolves the walk-model name: an explicit WalkModel
-// wins, otherwise the legacy MemoryWalk bit selects "pwc", otherwise
+// EffectiveWalkModel resolves the walk-model name, defaulting to
 // "fixed".
 func (c *SystemConfig) EffectiveWalkModel() string {
 	if c.WalkModel != "" {
 		return c.WalkModel
-	}
-	if c.MemoryWalk {
-		return "pwc"
 	}
 	return "fixed"
 }

@@ -76,7 +76,6 @@ type Options struct {
 	Refresh             bool    `json:"refresh,omitempty"`
 	L2TLBEntries        int     `json:"l2_tlb_entries,omitempty"`
 	Alpha               int     `json:"alpha,omitempty"`
-	MemoryWalk          bool    `json:"memory_walk,omitempty"`
 	WalkModel           string  `json:"walk_model,omitempty"` // fixed | pwc | nested
 	PWCHitCycles        int     `json:"pwc_hit_cycles,omitempty"`
 	TLBTopology         string  `json:"tlb_topology,omitempty"` // private | shared

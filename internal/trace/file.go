@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Source produces a reference stream. Generator is the synthetic source;
@@ -90,7 +91,13 @@ func ReadAll(r io.Reader) ([]Access, error) {
 	if n > sanity {
 		return nil, fmt.Errorf("trace: implausible record count %d", n)
 	}
-	out := make([]Access, 0, n)
+	// The header's count is untrusted: preallocate at most a modest
+	// prefix and let append grow with the records actually present.
+	prealloc := n
+	if prealloc > 1<<16 {
+		prealloc = 1 << 16
+	}
+	out := make([]Access, 0, prealloc)
 	for i := uint64(0); i < n; i++ {
 		flags, err := br.ReadByte()
 		if err != nil {
@@ -103,6 +110,9 @@ func ReadAll(r io.Reader) ([]Access, error) {
 		gap, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("trace: record %d gap: %w", i, err)
+		}
+		if gap > math.MaxInt {
+			return nil, fmt.Errorf("trace: record %d gap %d overflows int", i, gap)
 		}
 		out = append(out, Access{
 			VAddr:     vaddr,

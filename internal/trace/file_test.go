@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -84,6 +87,79 @@ func TestReadAllRejectsHugeCount(t *testing.T) {
 	if _, err := ReadAll(&buf); err == nil || !strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// hugeCountHeader is a complete 16-byte file header that claims 2^32
+// records (the largest count ReadAll accepts) and carries none.
+func hugeCountHeader() []byte {
+	hdr := []byte(fileMagic)
+	hdr = binary.LittleEndian.AppendUint32(hdr, fileVersion)
+	return binary.LittleEndian.AppendUint64(hdr, 1<<32)
+}
+
+// A header's record count must not size the allocation: 2^32 claimed
+// records once made ReadAll request 128 GiB up front and die out of
+// memory before reading the first record.
+func TestReadAllIgnoresClaimedCountForAllocation(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadAll(bytes.NewReader(hugeCountHeader()))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "record 0") {
+		t.Fatalf("err = %v, want a truncation error at record 0", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("ReadAll allocated %d bytes for a record-less file", got)
+	}
+}
+
+func TestReadAllRejectsGapOverflow(t *testing.T) {
+	data := []byte(fileMagic)
+	data = binary.LittleEndian.AppendUint32(data, fileVersion)
+	data = binary.LittleEndian.AppendUint64(data, 1)
+	data = append(data, 0)                           // flags
+	data = binary.AppendUvarint(data, 0x1000)        // vaddr
+	data = binary.AppendUvarint(data, uint64(1)<<63) // gap beyond MaxInt
+	if _, err := ReadAll(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "overflows int") {
+		t.Fatalf("err = %v, want a gap overflow error", err)
+	}
+}
+
+// FuzzReadAll feeds arbitrary bytes to the trace-file decoder. It must
+// never panic, and whatever it accepts must survive Record and ReadAll
+// again unchanged.
+func FuzzReadAll(f *testing.F) {
+	for _, n := range []uint64{0, 1, 64} {
+		var buf bytes.Buffer
+		if err := Record(&buf, NewGenerator(testProfile(), 1), n); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(hugeCountHeader())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadAll(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var src Source
+		if len(got) > 0 {
+			if src, err = NewReplay(got); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := Record(&buf, src, uint64(len(got))); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadAll(&buf)
+		if err != nil {
+			t.Fatalf("re-reading accepted trace: %v", err)
+		}
+		if !slices.Equal(again, got) {
+			t.Fatalf("round trip changed %d records into %d", len(got), len(again))
+		}
+	})
 }
 
 // Property: any slice of accesses with bounded fields round-trips exactly

@@ -64,7 +64,6 @@ func wireOptions(o Options) *sweepapi.Options {
 		Refresh:             o.Refresh,
 		L2TLBEntries:        o.L2TLBEntries,
 		Alpha:               o.Alpha,
-		MemoryWalk:          o.MemoryWalk,
 		WalkModel:           o.WalkModel,
 		PWCHitCycles:        o.PWCHitCycles,
 		TLBTopology:         o.TLBTopology,
@@ -115,7 +114,6 @@ func optionsFromWire(w *sweepapi.Options) (Options, error) {
 		Refresh:             w.Refresh,
 		L2TLBEntries:        w.L2TLBEntries,
 		Alpha:               w.Alpha,
-		MemoryWalk:          w.MemoryWalk,
 		WalkModel:           w.WalkModel,
 		PWCHitCycles:        w.PWCHitCycles,
 		TLBTopology:         w.TLBTopology,

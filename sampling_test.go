@@ -76,21 +76,53 @@ func TestSampledAccuracy(t *testing.T) {
 // TestCheckpointRoundTrip saves a checkpoint after warm-up, restores it
 // into a fresh machine, runs the measured phase, and asserts the result
 // fingerprint is byte-identical to an uninterrupted warm-up+measure run —
-// for every registered organization. This is the exactness contract that
-// lets a sweep warm up once per workload and fan the state out across
-// designs without perturbing a single metric.
+// for every registered organization, and for the VM layer's walk models,
+// shared TLB topology and context-switch policies, whose state the
+// checkpoint must carry too. This is the exactness contract that lets a
+// sweep warm up once per workload and fan the state out across designs
+// without perturbing a single metric.
 func TestCheckpointRoundTrip(t *testing.T) {
+	type roundTrip struct {
+		name     string
+		design   taglessdram.Design
+		workload string
+		vm       func(*taglessdram.Options)
+	}
+	var cases []roundTrip
 	for _, d := range taglessdram.Organizations() {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
+		cases = append(cases, roundTrip{d.String(), d, "sphinx3", nil})
+	}
+	for _, walk := range []string{"pwc", "nested"} {
+		for _, topo := range []string{"private", "shared"} {
+			cases = append(cases, roundTrip{"cTLB-" + walk + "-" + topo, taglessdram.Tagless, "MIX1",
+				func(o *taglessdram.Options) { o.WalkModel, o.TLBTopology = walk, topo }})
+		}
+	}
+	cases = append(cases, roundTrip{"SRAM-nested-shared", taglessdram.SRAMTag, "MIX1",
+		func(o *taglessdram.Options) { o.WalkModel, o.TLBTopology = "nested", "shared" }})
+	for _, flush := range []bool{true, false} {
+		name := "cTLB-ctxswitch-retain"
+		if flush {
+			name = "cTLB-ctxswitch-flush"
+		}
+		cases = append(cases, roundTrip{name, taglessdram.Tagless, "MIX1", func(o *taglessdram.Options) {
+			o.TLBTopology = "shared"
+			o.CtxSwitchRefs, o.CtxSwitchFlush = 10_000, flush
+		}})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			o := goldenOptions()
+			if c.vm != nil {
+				c.vm(&o)
+			}
 
 			// Uninterrupted reference: same Warmup/Measure phase pair the
 			// checkpoint path uses (a checkpoint quiesces the event kernel
 			// at the phase boundary, so plain Run is not the comparator).
 			o.CheckpointSave = filepath.Join(t.TempDir(), "warm.ckpt")
-			straight, err := taglessdram.Run(d, "sphinx3", o)
+			straight, err := taglessdram.Run(c.design, c.workload, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,12 +130,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			restored := o // same options; the load path ignores Warmup
 			restored.CheckpointLoad = o.CheckpointSave
 			restored.CheckpointSave = ""
-			rerun, err := taglessdram.Run(d, "sphinx3", restored)
+			rerun, err := taglessdram.Run(c.design, c.workload, restored)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got, want := fingerprint(rerun), fingerprint(straight); got != want {
 				t.Errorf("restored run diverged from uninterrupted run:\n got: %s\nwant: %s", got, want)
+			}
+			if o.CtxSwitchRefs > 0 && (straight.CtxSwitches == 0 || rerun.CtxSwitches != straight.CtxSwitches) {
+				t.Errorf("context switches: restored %d, uninterrupted %d (want equal and nonzero)",
+					rerun.CtxSwitches, straight.CtxSwitches)
 			}
 		})
 	}

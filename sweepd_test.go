@@ -441,7 +441,6 @@ func TestWireOptionsFingerprintRoundTrip(t *testing.T) {
 		Refresh:             true,
 		L2TLBEntries:        256,
 		Alpha:               2,
-		MemoryWalk:          true,
 		WalkModel:           "nested",
 		PWCHitCycles:        3,
 		TLBTopology:         "shared",

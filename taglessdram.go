@@ -111,16 +111,11 @@ type Options struct {
 	// Alpha overrides the number of free blocks kept available (0 = the
 	// paper's 1).
 	Alpha int
-	// MemoryWalk models page-table walks as memory traffic (MMU walk
-	// caches + leaf PTE reads) instead of the paper-style fixed cost.
-	// Legacy switch: it selects the "pwc" walk model when WalkModel is
-	// empty.
-	MemoryWalk bool
 	// WalkModel selects the page-table-walk timing model by name:
 	// "fixed" (the paper's constant cost, the default), "pwc"
 	// (walk-cache + leaf PTE memory traffic), or "nested" (virtualized
 	// guest→host two-dimensional walk, up to 24 memory references per
-	// miss). Empty defers to MemoryWalk.
+	// miss). Empty means "fixed".
 	WalkModel string
 	// PWCHitCycles is the per-level page-walk-cache hit cost of the pwc
 	// and nested models (the old hardcoded 2-cycle upper-level cost).
@@ -290,7 +285,6 @@ func configFor(design Design, o Options) *config.SystemConfig {
 	if o.Alpha > 0 {
 		c.Tagless.Alpha = o.Alpha
 	}
-	c.MemoryWalk = o.MemoryWalk
 	c.WalkModel = o.WalkModel
 	c.PWCHitCycles = o.PWCHitCycles
 	c.TLBTopology = o.TLBTopology
