@@ -396,6 +396,20 @@ func BenchmarkSingleRun(b *testing.B) {
 	}
 }
 
+// BenchmarkJobFingerprint is the cost of computing one job's result-cache
+// key, which every cacheable job in a sweep pays before its lookup. The
+// workload's trace digest comes from the digest memo after the first
+// iteration.
+func BenchmarkJobFingerprint(b *testing.B) {
+	j := Job{Design: Tagless, Workload: "MIX5", Options: DefaultOptions()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := j.fingerprint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulatorThroughput measures raw simulation speed (simulated
 // instructions per second of wall time), the engineering metric for the
 // substrate itself.

@@ -3,11 +3,14 @@ package taglessdram_test
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	taglessdram "taglessdram"
+	"taglessdram/internal/resultcache"
 )
 
 func cacheMetricsBytes(t *testing.T, rs ...*taglessdram.Result) []byte {
@@ -65,6 +68,78 @@ func TestCacheHitBitIdentityAllOrganizations(t *testing.T) {
 	want := uint64(len(orgs))
 	if st.Hits != want || st.Misses != want || st.Stored != want || st.Evicted != 0 {
 		t.Errorf("stats = %+v, want %d hits, %d misses, %d stored, 0 evicted", st, want, want, want)
+	}
+}
+
+// TestPrimedDecodeMatchesFresh pins the hit path's primed gob decoders
+// to a fresh decoder on real results of every organization: each payload
+// decodes three times through the primed path and once through a new
+// gob.Decoder, and every decode re-encodes to the payload byte for byte.
+// Eight goroutines then read all seven entries concurrently from one
+// store (under -race this is the primed table's concurrency test).
+func TestPrimedDecodeMatchesFresh(t *testing.T) {
+	store, err := taglessdram.OpenResultCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	orgs := taglessdram.Organizations()
+	keys := make([]resultcache.Key, len(orgs))
+	payloads := make([][]byte, len(orgs))
+	for i, d := range orgs {
+		o := smallOptions()
+		o.EpochRefs = 10_000
+		r, err := taglessdram.Run(d, "sphinx3", o)
+		if err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
+		if payloads[i], err = resultcache.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		fresh := new(taglessdram.Result)
+		if err := gob.NewDecoder(bytes.NewReader(payloads[i])).Decode(fresh); err != nil {
+			t.Fatalf("%v: fresh decode: %v", d, err)
+		}
+		decoded := []*taglessdram.Result{fresh}
+		for k := 0; k < 3; k++ {
+			p, err := resultcache.Decode(payloads[i])
+			if err != nil {
+				t.Fatalf("%v: primed decode %d: %v", d, k, err)
+			}
+			decoded = append(decoded, p)
+		}
+		for k, r := range decoded {
+			if b, err := resultcache.Encode(r); err != nil || !bytes.Equal(b, payloads[i]) {
+				t.Errorf("%v: decode %d re-encodes differently (%v)", d, k, err)
+			}
+		}
+		keys[i] = resultcache.KeyOf(d.String())
+		if err := store.Put(keys[i], d.String(), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 4*len(orgs); n++ {
+				i := (g + n) % len(orgs)
+				r, ok := store.Get(keys[i])
+				if !ok {
+					t.Errorf("%v: concurrent Get missed", orgs[i])
+					return
+				}
+				if b, err := resultcache.Encode(r); err != nil || !bytes.Equal(b, payloads[i]) {
+					t.Errorf("%v: concurrent hit re-encodes differently (%v)", orgs[i], err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := store.Stats(); st.Hits != uint64(8*4*len(orgs)) || st.Misses != 0 || st.Evicted != 0 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"taglessdram/internal/resultcache"
 	"taglessdram/internal/system"
@@ -196,6 +197,11 @@ func preimageFor(design Design, name string, w system.Workload, o Options) (stri
 	if !ok {
 		return "", fmt.Errorf("taglessdram: workload %s is not fingerprintable", name)
 	}
+	return preimageWith(design, name, td, o), nil
+}
+
+// preimageWith is preimageFor given the workload's trace digest.
+func preimageWith(design Design, name, td string, o Options) string {
 	// Project away knobs this design never reads — both in the canonical
 	// options line and, because configFor maps them into cfg.Tagless, in
 	// the rendered config — so their edits invalidate only the cells that
@@ -205,19 +211,72 @@ func preimageFor(design Design, name string, w system.Workload, o Options) (stri
 	return fmt.Sprintf(
 		"taglessdram result-cache preimage v1\nmodel=%d\ndesign=%d(%s)\nworkload=%q\ntrace=%s\noptions{%s}\nconfig=%+v\n",
 		modelVersion, int(design), design, name, td,
-		o.Canonical(), *cfg), nil
+		o.Canonical(), *cfg)
 }
 
-// preimage is preimageFor on a named Job, resolving its workload first.
+// preimage is preimageFor on a named Job, with the trace digest of its
+// workload taken from the digest memo.
 func (j Job) preimage() (string, error) {
 	if err := j.Options.Validate(); err != nil {
 		return "", err
 	}
-	w, err := workloadFor(j.Workload, j.Options)
+	td, err := workloadDigest(j.Workload, j.Options)
 	if err != nil {
 		return "", err
 	}
-	return preimageFor(j.Design, j.Workload, w, j.Options)
+	return preimageWith(j.Design, j.Workload, td, j.Options), nil
+}
+
+// digestKey is everything workloadFor reads from a named workload's
+// options.
+type digestKey struct {
+	name  string
+	shift uint
+	seed  uint64
+}
+
+// digestMemoSize bounds the trace-digest memo. The memo is process-wide,
+// and a long-running sweep service sees a new seed on many cold
+// requests, so an unbounded memo would grow for the process's lifetime;
+// the oldest entry is dropped first.
+const digestMemoSize = 256
+
+var digestMemo = struct {
+	sync.Mutex
+	m    map[digestKey]string
+	ring [digestMemoSize]digestKey // insertion order, for eviction
+	next int
+}{m: make(map[digestKey]string, digestMemoSize)}
+
+// workloadDigest returns traceDigest(workloadFor(name, o)), memoised by
+// (name, Shift, Seed): building the workload and rendering its profiles
+// otherwise dominates the cost of fingerprinting a job.
+func workloadDigest(name string, o Options) (string, error) {
+	k := digestKey{name: name, shift: o.Shift, seed: o.Seed}
+	digestMemo.Lock()
+	td, ok := digestMemo.m[k]
+	digestMemo.Unlock()
+	if ok {
+		return td, nil
+	}
+	w, err := workloadFor(name, o)
+	if err != nil {
+		return "", err
+	}
+	if td, ok = traceDigest(w); !ok {
+		return "", fmt.Errorf("taglessdram: workload %s is not fingerprintable", name)
+	}
+	digestMemo.Lock()
+	if _, dup := digestMemo.m[k]; !dup {
+		if len(digestMemo.m) == digestMemoSize {
+			delete(digestMemo.m, digestMemo.ring[digestMemo.next])
+		}
+		digestMemo.m[k] = td
+		digestMemo.ring[digestMemo.next] = k
+		digestMemo.next = (digestMemo.next + 1) % digestMemoSize
+	}
+	digestMemo.Unlock()
+	return td, nil
 }
 
 // fingerprint returns the job's cache key together with the preimage it

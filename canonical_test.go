@@ -193,3 +193,59 @@ func TestPreimageContents(t *testing.T) {
 		t.Errorf("in-memory checkpoint stores are deterministic and must stay cacheable")
 	}
 }
+
+// TestFingerprintMemoMatchesDirect pins the trace-digest memo to the
+// direct computation: for every named workload at two seeds and two
+// shifts, the memoised preimage (cold and then from the memo) equals
+// preimageFor over a freshly built workload. It then feeds more distinct
+// seeds than the memo holds and checks the memo stays within its bound.
+func TestFingerprintMemoMatchesDirect(t *testing.T) {
+	var names []string
+	names = append(names, SPECWorkloads()...)
+	names = append(names, MixWorkloads()...)
+	names = append(names, PARSECWorkloads()...)
+	for _, name := range names {
+		for _, seed := range []uint64{1, 99} {
+			for _, shift := range []uint{5, 6} {
+				o := DefaultOptions()
+				o.Seed, o.Shift = seed, shift
+				w, err := workloadFor(name, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := preimageFor(Tagless, name, w, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j := Job{Design: Tagless, Workload: name, Options: o}
+				for pass := 0; pass < 2; pass++ {
+					got, err := j.preimage()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%s seed=%d shift=%d pass %d: memoised preimage differs:\n%s\nwant:\n%s",
+							name, seed, shift, pass, got, want)
+					}
+				}
+			}
+		}
+	}
+	if _, err := (Job{Design: Tagless, Workload: "no-such-workload", Options: DefaultOptions()}).preimage(); err == nil {
+		t.Fatal("unknown workload fingerprinted")
+	}
+
+	o := DefaultOptions()
+	for seed := uint64(1000); seed < 1000+2*digestMemoSize; seed++ {
+		o.Seed = seed
+		if _, err := workloadDigest("mcf", o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	digestMemo.Lock()
+	n := len(digestMemo.m)
+	digestMemo.Unlock()
+	if n > digestMemoSize {
+		t.Fatalf("digest memo holds %d entries, bound %d", n, digestMemoSize)
+	}
+}

@@ -36,12 +36,12 @@ func main() {
 		prog  = flag.Bool("progress", false, "print per-sweep progress and ETA to stderr")
 		extra = flag.Bool("baselines", false, "add the extra organizations (Alloy, Banshee) to the design-comparison figures")
 
-		metrics = flag.String("metrics-json", "", "append every run's metric registry and epoch series as JSON lines to this file (byte-identical at any -j)")
-		server  = flag.String("server", "", "base URL of a sweepd sweep service (e.g. http://localhost:8344): every sweep is submitted there instead of simulating in-process; output is byte-identical")
-		rcache  = flag.String("result-cache", "", "persistent content-addressed result cache directory: completed runs are replayed byte-identically instead of re-simulated; editing one configuration re-simulates only its cells")
-		epoch   = flag.Uint64("epoch-refs", 0, "epoch length in measured references for time-series sampling (0 = off)")
+		metrics  = flag.String("metrics-json", "", "append every run's metric registry and epoch series as JSON lines to this file (byte-identical at any -j)")
+		server   = flag.String("server", "", "base URL of a sweepd sweep service (e.g. http://localhost:8344): every sweep is submitted there instead of simulating in-process; output is byte-identical")
+		rcache   = flag.String("result-cache", "", "persistent content-addressed result cache directory: completed runs are replayed byte-identically instead of re-simulated; editing one configuration re-simulates only its cells")
+		epoch    = flag.Uint64("epoch-refs", 0, "epoch length in measured references for time-series sampling (0 = off)")
 		epochCap = flag.Int("epoch-capacity", 0, "max retained epochs per run; once full the oldest are dropped (0 = default ring)")
-		prewarm = flag.Bool("prewarm", false, "share warm-state checkpoints across figures: each (workload, config, warm-up) warms up once and later runs restore it (results use the checkpointed Warmup/Measure path, so they differ slightly from the default)")
+		prewarm  = flag.Bool("prewarm", false, "share warm-state checkpoints across figures: each (workload, config, warm-up) warms up once and later runs restore it (results use the checkpointed Warmup/Measure path, so they differ slightly from the default)")
 
 		walkModel = flag.String("walk", "", "page-table-walk model for every run: fixed | pwc | nested (empty = fixed)")
 		pwcHit    = flag.Int("pwc-hit", 2, "per-level page-walk-cache hit cycles (pwc and nested models)")

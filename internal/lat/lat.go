@@ -16,8 +16,8 @@
 package lat
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/bits"
 
@@ -226,35 +226,41 @@ func (h *Hist) Rows() []BucketRow {
 // Reset discards all samples.
 func (h *Hist) Reset() { *h = Hist{} }
 
-// histWire is Hist's serialized image. The struct's own fields are
+// GobEncode implements gob.GobEncoder. The struct's own fields are
 // unexported (fixed-size value storage for the alloc-free hot path), so
-// gob needs this explicit form; it is what the persistent result cache
-// stores for the latency tail metrics.
-type histWire struct {
-	Counts [NumBuckets]uint64
-	Total  uint64
-	Sum    uint64
-	Max    uint64
-}
-
-// GobEncode implements gob.GobEncoder.
+// Hist serializes itself as a fixed binary image: the NumBuckets counts,
+// then total, sum and max, each a uvarint. It is what the persistent
+// result cache stores for the latency tail metrics.
 func (h *Hist) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(histWire{
-		Counts: h.counts, Total: h.total, Sum: h.sum, Max: h.max,
-	})
-	return buf.Bytes(), err
+	buf := make([]byte, 0, NumBuckets+3*binary.MaxVarintLen64)
+	for _, c := range h.counts {
+		buf = binary.AppendUvarint(buf, c)
+	}
+	buf = binary.AppendUvarint(buf, h.total)
+	buf = binary.AppendUvarint(buf, h.sum)
+	return binary.AppendUvarint(buf, h.max), nil
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. It rejects a short or overlong
+// image and leaves h unchanged on error.
 func (h *Hist) GobDecode(data []byte) error {
-	var w histWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
+	var vals [NumBuckets + 3]uint64
+	for i := range vals {
+		v, n := binary.Uvarint(data)
+		if n <= 0 {
+			return errHistImage
+		}
+		vals[i], data = v, data[n:]
 	}
-	h.counts, h.total, h.sum, h.max = w.Counts, w.Total, w.Sum, w.Max
+	if len(data) != 0 {
+		return errHistImage
+	}
+	copy(h.counts[:], vals[:NumBuckets])
+	h.total, h.sum, h.max = vals[NumBuckets], vals[NumBuckets+1], vals[NumBuckets+2]
 	return nil
 }
+
+var errHistImage = errors.New("lat: malformed histogram image")
 
 // Breakdown accumulates attributed cycles per component over many
 // committed scopes, together with the conservation bookkeeping.

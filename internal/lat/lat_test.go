@@ -1,7 +1,10 @@
 package lat
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -232,5 +235,64 @@ func TestRecorderAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("recorder allocates: %v allocs/op", allocs)
+	}
+}
+
+// TestHistBinaryRoundTrip pins the fixed binary image Hist serializes to:
+// random histograms, extreme values included, round-trip exactly (also
+// nested in a gob stream, as the result cache carries them), and every
+// truncation or trailing byte is rejected without touching the target.
+func TestHistBinaryRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 200; trial++ {
+		var h Hist
+		for i := range h.counts {
+			switch rng.IntN(4) {
+			case 0:
+				h.counts[i] = ^uint64(0)
+			case 1:
+				h.counts[i] = rng.Uint64()
+			case 2:
+				h.counts[i] = uint64(rng.IntN(200))
+			}
+		}
+		h.total, h.sum, h.max = rng.Uint64(), ^uint64(0), rng.Uint64()>>uint(rng.IntN(64))
+		if trial == 0 {
+			h = Hist{}
+		}
+		img, err := h.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Hist
+		if err := got.GobDecode(img); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got != h {
+			t.Fatalf("trial %d: round trip changed the histogram", trial)
+		}
+
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&h); err != nil {
+			t.Fatal(err)
+		}
+		var viaGob Hist
+		if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil || viaGob != h {
+			t.Fatalf("trial %d: gob round trip: %v", trial, err)
+		}
+
+		sentinel := Hist{total: 7}
+		for n := 0; n < len(img); n++ {
+			dst := sentinel
+			if err := dst.GobDecode(img[:n]); err == nil {
+				t.Fatalf("trial %d: accepted a %d-of-%d-byte truncation", trial, n, len(img))
+			}
+			if dst != sentinel {
+				t.Fatalf("trial %d: failed decode modified the histogram", trial)
+			}
+		}
+		if err := got.GobDecode(append(img[:len(img):len(img)], 0)); err == nil {
+			t.Fatalf("trial %d: accepted a trailing byte", trial)
+		}
 	}
 }

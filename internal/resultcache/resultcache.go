@@ -50,9 +50,11 @@ func KeyOf(preimage string) Key { return sha256.Sum256([]byte(preimage)) }
 // String renders the key as lowercase hex (also the entry's file name).
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// entryFormat versions the on-disk envelope layout. A mismatch means the
-// entry was written by an incompatible build and is evicted as a miss.
-const entryFormat = 1
+// entryFormat versions the on-disk envelope layout and payload codec. A
+// mismatch means the entry was written by an incompatible build and is
+// evicted as a miss, before its payload is read. Format 2 stores each
+// lat.Hist as a fixed binary image instead of a nested gob stream.
+const entryFormat = 2
 
 // envelope is the on-disk form of one entry. Payload is the gob-encoded
 // system.Result; Sum is its SHA-256, verified on every load. Preimage is
@@ -139,7 +141,7 @@ func (s *Store) Get(key Key) (*system.Result, bool) {
 // looked up under and decodes its Result.
 func decodeEntry(key Key, data []byte) (*system.Result, error) {
 	var e envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
+	if err := decodeGob(data, &e); err != nil {
 		return nil, fmt.Errorf("resultcache: envelope: %w", err)
 	}
 	if e.Format != entryFormat {
@@ -202,7 +204,7 @@ func (s *Store) Preimage(key Key) (string, bool) {
 		return "", false
 	}
 	var e envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
+	if err := decodeGob(data, &e); err != nil {
 		return "", false
 	}
 	return e.Preimage, true
@@ -231,7 +233,8 @@ func Decode(payload []byte) (*system.Result, error) { return decodeResult(payloa
 // Result value. Every field of system.Result (and its nested metric
 // types) either exports its state or, like lat.Hist, implements the gob
 // interfaces, so the round trip is lossless — Clone and the hit path
-// both rely on that.
+// both rely on that. Decoding goes through the primed decoders
+// (primed.go), so a hit does not recompile gob's decode engine.
 func encodeResult(r *system.Result) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
@@ -242,7 +245,7 @@ func encodeResult(r *system.Result) ([]byte, error) {
 
 func decodeResult(payload []byte) (*system.Result, error) {
 	r := new(system.Result)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(r); err != nil {
+	if err := decodeGob(payload, r); err != nil {
 		return nil, err
 	}
 	return r, nil
